@@ -1,4 +1,4 @@
-.PHONY: check build test vet fmt bench bench-json bench-smoke bench-check-warm bench-check-cold bench-check-fleet fleetload-smoke cache-clean spec-check doc-check fuzz-smoke
+.PHONY: check build test vet fmt bench bench-json bench-smoke bench-check-warm bench-check-cold bench-check-fleet fleetload-smoke cache-clean spec-check doc-check fuzz-smoke perfbench-check
 
 # Tier-1 gate: everything must pass before a commit lands.
 check: vet build test
@@ -14,6 +14,13 @@ test:
 
 fmt:
 	gofmt -l .
+
+# The repository benchmark (perfbench/) is its own Go module that imports
+# the internal packages through a replace, so `make check` never compiles
+# it: vet and test it here, so a core API change that breaks the harness
+# fails CI instead of the next benchmark run.
+perfbench-check:
+	cd perfbench && go vet ./... && go test ./...
 
 # Headline benchmarks (one per table/figure, plus the obs overhead pair).
 bench:

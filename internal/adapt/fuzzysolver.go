@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/fuzzy"
 	"repro/internal/mathx"
@@ -38,6 +39,8 @@ type FuzzySolver struct {
 	// invocation ends as a LowFreq retune instead of the paper's
 	// Figure 13 mix.
 	minBiasComp float64
+	// fp memoizes Fingerprint; decoding into the solver clears it.
+	fp atomic.Pointer[string]
 }
 
 // Name implements Solver.
@@ -433,6 +436,7 @@ func (s *FuzzySolver) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return err
 	}
+	s.fp.Store(nil)
 	s.freq = make(map[fcKey]*fuzzy.Controller)
 	s.vdd = make(map[fcKey]*fuzzy.Controller)
 	s.vbb = make(map[fcKey]*fuzzy.Controller)

@@ -2,6 +2,8 @@ package adapt
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"sync"
 	"testing"
@@ -130,5 +132,69 @@ func TestConcurrentSharedPEStore(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+}
+
+// TestFuzzySolverFingerprint: the memoized fingerprint is the SHA-256 of
+// the binary encoding, concurrent first calls agree, and decoding a
+// different solver into the same value replaces it instead of serving
+// the stale digest.
+func TestFuzzySolverFingerprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fuzzy training")
+	}
+	train := func(seed int64) *FuzzySolver {
+		s, err := TrainFuzzySolver([]*Core{buildCore(t, seed, preferred)}, trainOptsForTest(40))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	a, b := train(31), train(32)
+	digest := func(s *FuzzySolver) string {
+		blob, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(blob)
+		return hex.EncodeToString(sum[:])
+	}
+	want := digest(a)
+	var wg sync.WaitGroup
+	got := make([]string, 4)
+	for i := range got {
+		wg.Add(1)
+		go func() { defer wg.Done(); got[i] = a.Fingerprint() }()
+	}
+	wg.Wait()
+	for i, fp := range got {
+		if fp != want {
+			t.Fatalf("caller %d: fingerprint %s, want %s", i, fp, want)
+		}
+	}
+	if a.Fingerprint() == b.Fingerprint() {
+		t.Fatal("solvers of different chips share a fingerprint")
+	}
+	blob, err := b.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	if fp := a.Fingerprint(); fp != b.Fingerprint() {
+		t.Fatalf("after decoding: fingerprint %s, want the decoded solver's %s", fp, b.Fingerprint())
+	}
+	js, err := json.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := train(31)
+	c.Fingerprint()
+	if err := c.UnmarshalJSON(js); err != nil {
+		t.Fatal(err)
+	}
+	if fp := c.Fingerprint(); fp != b.Fingerprint() {
+		t.Fatalf("after JSON decoding: fingerprint %s, want %s", fp, b.Fingerprint())
 	}
 }

@@ -1,6 +1,8 @@
 package adapt
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"sort"
 
@@ -10,7 +12,7 @@ import (
 )
 
 // solverBinVersion is the solver payload's binary format version,
-// independent of the artifact kind version (decoders sniff the format).
+// independent of the artifact kind version.
 const solverBinVersion = 1
 
 // MarshalBinary serializes the solver's controllers in the artifact
@@ -56,6 +58,23 @@ func (s *FuzzySolver) MarshalBinary() ([]byte, error) {
 	return e.B, nil
 }
 
+// Fingerprint is the solver's content identity: the SHA-256 hex of its
+// MarshalBinary encoding, or "" when it cannot be encoded. The digest is
+// computed on first use and kept until the solver is decoded into, so a
+// caller keying every unit on it pays the encode once per solver.
+func (s *FuzzySolver) Fingerprint() string {
+	if fp := s.fp.Load(); fp != nil {
+		return *fp
+	}
+	fp := ""
+	if b, err := s.MarshalBinary(); err == nil {
+		sum := sha256.Sum256(b)
+		fp = hex.EncodeToString(sum[:])
+	}
+	s.fp.Store(&fp)
+	return fp
+}
+
 // UnmarshalBinary restores a solver encoded by MarshalBinary.
 func (s *FuzzySolver) UnmarshalBinary(data []byte) error {
 	d := artifact.NewDec(data)
@@ -67,6 +86,7 @@ func (s *FuzzySolver) UnmarshalBinary(data []byte) error {
 	if d.Err() != nil || n > 1<<16 {
 		return fmt.Errorf("adapt: corrupt solver state: %w", d.Err())
 	}
+	s.fp.Store(nil)
 	s.freq = make(map[fcKey]*fuzzy.Controller, n)
 	s.vdd = make(map[fcKey]*fuzzy.Controller, n)
 	s.vbb = make(map[fcKey]*fuzzy.Controller, n)

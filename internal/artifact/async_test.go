@@ -233,8 +233,8 @@ func TestDiskBytesAccountingUnderConcurrency(t *testing.T) {
 }
 
 // TestCrashDebrisRecovery: leftover temp files from a crashed settle (a
-// failed index save or abandoned compaction) and v1-era temp debris must
-// neither corrupt reads nor survive a settle once stale.
+// failed index save or abandoned compaction) must neither corrupt reads
+// nor survive a settle once stale.
 func TestCrashDebrisRecovery(t *testing.T) {
 	dir := t.TempDir()
 	old := time.Now().Add(-2 * time.Minute)
@@ -251,19 +251,6 @@ func TestCrashDebrisRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Subdirectory debris from a crashed v1 writer.
-	legacyDir := filepath.Join(dir, "test", "ab")
-	if err := os.MkdirAll(legacyDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	v1Debris := filepath.Join(legacyDir, ".entry.json.tmp-crashed")
-	if err := os.WriteFile(v1Debris, []byte(`{"partial":`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chtimes(v1Debris, old, old); err != nil {
-		t.Fatal(err)
-	}
-
 	reg := obs.NewRegistry()
 	st, err := Open(dir, Options{Obs: reg})
 	if err != nil {
@@ -282,7 +269,7 @@ func TestCrashDebrisRecovery(t *testing.T) {
 		t.Fatalf("debris counted as corruption: %d", c)
 	}
 	// The settle cleared the stale debris.
-	for _, p := range append(rootDebris, v1Debris) {
+	for _, p := range rootDebris {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Fatalf("stale debris %s survived the settle: %v", p, err)
 		}

@@ -32,10 +32,9 @@
 // version bump therefore misses cleanly; there is no in-place migration
 // of a stale payload, only rebuild-and-overwrite.
 //
-// The pre-image "schema" is keySchema, pinned at 1 forever; it is NOT
-// SchemaVersion, which versions the storage layout below. Keeping the
-// key function fixed across layout generations is what lets a v2 store
-// recompute — and so migrate — the keys a v1 store wrote.
+// The pre-image "schema" is keySchema (1); it is NOT SchemaVersion,
+// which versions the storage layout below, so a layout change leaves
+// every key as it was.
 //
 // Two kinds carry workload-trace identity (see WORKLOADS.md):
 //
@@ -48,7 +47,7 @@
 //     different traces never alias each other's profiles, and any byte
 //     change to a trace re-keys everything derived from it.
 //
-// # On-disk layout (store schema v2)
+// # On-disk layout (store schema v3)
 //
 // A store directory holds numShards (8) packfile segments plus one
 // index file:
@@ -70,10 +69,10 @@
 //
 // Records are immutable once appended; rewriting a key appends a new
 // record and repoints the index, leaving the old record as garbage for
-// the next compaction. CRC-32C (Castagnoli, hardware-accelerated)
-// replaces v1's per-entry SHA-256 — a cache record needs corruption
-// detection, not collision resistance, and the CRC is an order of
-// magnitude cheaper on the warm path.
+// the next compaction. Records carry CRC-32C (Castagnoli,
+// hardware-accelerated) rather than a cryptographic digest — a cache
+// record needs corruption detection, not collision resistance, and the
+// CRC is an order of magnitude cheaper on the warm path.
 //
 // The index file maps key → (segment, offset, length, atime):
 //
@@ -92,15 +91,15 @@
 //
 // # Payload encodings
 //
-// A payload is either the producer's JSON codec output (first byte '{')
-// or the v2 columnar binary form (first byte BinaryTag, 0xB2, followed
-// by a kind-specific format version). Payload decoders sniff the first
-// byte and accept both, so producer Kind versions did not bump for the
-// layout change and migrated v1 payload bytes rewrite verbatim into
-// packfiles. The binary form (Enc/Dec) writes small integers as
+// Each kind has one payload encoding. The bulky kinds — chips,
+// profiles, solvers, PE tables, static points, app runs — use the
+// columnar binary form: first byte BinaryTag (0xB2), then a
+// kind-specific format version, and a decoder rejects any other first
+// byte as corrupt. The binary form (Enc/Dec) writes small integers as
 // varints and dense float64 columns — chip grids, controller weight
 // matrices, PE tables — as contiguous little-endian IEEE-754 blocks:
-// bit-exact round-trips with no number formatting or parsing.
+// bit-exact round-trips with no number formatting or parsing. The small
+// result kinds (outcomes, table2) and traces store JSON.
 //
 // # Recovery
 //
@@ -114,24 +113,13 @@
 // loses at most unflushed writes — clean misses on the next run, never
 // corruption, since every read re-verifies the record checksum.
 //
-// # Migration from v1
+// # Writers
 //
-// Version-1 stores kept one JSON envelope file per entry under
-// dir/<kind>/<key[:2]>/<key>.json. A v2 store reads these through: on
-// an index miss it checks the legacy path, verifies the envelope
-// (schema, kind, key, payload SHA-256), counts artifact.cache.migrated,
-// rewrites the payload into a packfile via the normal write path, and
-// deletes the legacy file. Existing CI caches therefore migrate
-// incrementally as they are hit; untouched legacy entries still count
-// against MaxBytes and age out through the LRU sweep.
-//
-// One v1 property is narrowed: v1's atomic per-entry renames allowed
-// concurrent *writing* processes on one directory. The packed layout
-// assumes a single writing process at a time (in-process concurrency is
-// unrestricted). Concurrent readers of a directory another process is
-// writing remain safe — the index is replaced atomically and segment
-// tails are re-scanned — and duplicate work across processes was always
-// harmless (identical content either way).
+// The packed layout assumes a single writing process per directory at a
+// time (in-process concurrency is unrestricted). Concurrent readers of
+// a directory another process is writing remain safe — the index is
+// replaced atomically and segment tails are re-scanned — and duplicate
+// work across processes is harmless (identical content either way).
 //
 // # Failure semantics
 //
@@ -142,9 +130,8 @@
 // record. Write failures (read-only disk, ENOSPC) are counted and
 // swallowed; the freshly built artifact is still returned. Loaded
 // artifacts are byte-exact reproductions of what the producer built
-// (both payload encodings round-trip float64 exactly), so cold, warm,
-// and migrated runs of an experiment are byte-identical at a fixed
-// seed.
+// (both payload encodings round-trip float64 exactly), so cold and warm
+// runs of an experiment are byte-identical at a fixed seed.
 //
 // # Asynchronous persistence
 //
@@ -183,9 +170,8 @@
 // compaction atomically renames the rewritten segment into place and
 // retires the old read descriptor, so in-flight reads finish against
 // the old inode. A bounded-size LRU sweep (Options.MaxBytes) evicts the
-// least-recently-used entries — across both packed records and legacy
-// v1 files — once enough written bytes accumulate (and always at
-// Flush/Close); hits bump an entry's atime. Eviction marks record bytes
+// least-recently-used entries once enough written bytes accumulate (and
+// always at Flush/Close); hits bump an entry's atime. Eviction marks record bytes
 // as garbage; compaction rewrites a segment without them when its
 // garbage passes compactMinGarbage and half the segment, or whenever
 // the store is over its cap. The settle pass and the disk-byte
@@ -194,9 +180,9 @@
 // # Metrics
 //
 // With a non-nil obs.Registry the store records artifact.cache.{hits,
-// misses,corrupt,migrated,bytes,write_errors,evictions,compactions,
+// misses,corrupt,bytes,write_errors,evictions,compactions,
 // index_rebuilds} counters plus per-kind variants
-// (artifact.cache.<kind>.{hits,misses,corrupt,migrated}), the
+// (artifact.cache.<kind>.{hits,misses,corrupt}), the
 // artifact.cache.{encode_ns,decode_ns} timers around record framing and
 // record reads, an artifact.cache.segments gauge (live packfile count),
 // and an artifact.cache.disk_bytes gauge after each settle.

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"math/bits"
 
@@ -76,12 +74,7 @@ func (s *Simulator) cachedChip(seed int64) *varius.ChipMaps {
 	}
 	chip := new(varius.ChipMaps)
 	err = s.store.GetOrBuild(chipKind, key,
-		func(payload []byte) error {
-			if artifact.IsBinary(payload) {
-				return chip.UnmarshalBinary(payload)
-			}
-			return chip.UnmarshalJSON(payload)
-		},
+		func(payload []byte) error { return chip.UnmarshalBinary(payload) },
 		func() ([]byte, error) {
 			chip = s.gen.Chip(seed)
 			return chip.MarshalBinary()
@@ -123,12 +116,7 @@ func (s *Simulator) buildProfile(app workload.App, ph workload.Phase) (pipeline.
 	}
 	var p pipeline.Profile
 	err = s.store.GetOrBuild(profileKind, key,
-		func(payload []byte) error {
-			if artifact.IsBinary(payload) {
-				return decodeProfile(payload, &p)
-			}
-			return json.Unmarshal(payload, &p)
-		},
+		func(payload []byte) error { return decodeProfile(payload, &p) },
 		func() ([]byte, error) {
 			var berr error
 			if p, berr = build(); berr != nil {
@@ -142,17 +130,13 @@ func (s *Simulator) buildProfile(app workload.App, ph workload.Phase) (pipeline.
 	return p, nil
 }
 
-// petablePayload is the petables artifact: every dense PE-fmax table one
-// run built for one chip. Unlike the other kinds there is no single build
-// call site to wrap — tables accumulate lazily as controller invocations
-// touch grid points — so the store's raw Get/Put surface is used instead
-// of GetOrBuild: load seeds the store after the donor core is assembled,
-// and the run's accumulated tables are written back at the end. Table
-// values are exact float64 round-trips, so a warm run's solves are
-// byte-identical to a cold run's.
-type petablePayload struct {
-	Tables []adapt.PETableSlot `json:"tables"`
-}
+// The petables artifact holds every dense PE-fmax table one chip's
+// handle built. Unlike the other kinds there is no single build call site
+// to wrap — tables accumulate lazily as controller invocations touch grid
+// points — so the store's raw Get/Put surface is used instead of
+// GetOrBuild: AcquireChip seeds the donor's store, and ReleaseChip writes
+// the accumulated tables back. Table values are exact float64
+// round-trips, so a warm run's solves are byte-identical to a cold run's.
 
 // petableKey derives the petables artifact key: the tables are fully
 // determined by the chip's stage models, i.e. by (varius params, seed).
@@ -172,18 +156,14 @@ func (s *Simulator) loadPETables(cpu *adapt.Core, seed int64) int {
 	if !ok {
 		return 0
 	}
-	var p petablePayload
-	if !s.store.Get(petableKind, key, func(payload []byte) error {
-		if artifact.IsBinary(payload) {
-			var derr error
-			p.Tables, derr = decodePETables(payload)
-			return derr
-		}
-		return json.Unmarshal(payload, &p)
+	var tabs []adapt.PETableSlot
+	if !s.store.Get(petableKind, key, func(payload []byte) (err error) {
+		tabs, err = decodePETables(payload)
+		return err
 	}) {
 		return 0
 	}
-	return cpu.ImportPETables(p.Tables)
+	return cpu.ImportPETables(tabs)
 }
 
 // storePETables writes cpu's built PE-fmax tables back to the artifact
@@ -217,13 +197,8 @@ func (s *Simulator) storePETables(cpu *adapt.Core, seed int64, imported int) {
 // carries the chip's exact static operating point, whose float64 values
 // fingerprint the conservative class profile it was derived from.
 type appRunParams struct {
-	Varius   varius.Params  `json:"varius"`
-	Power    power.Params   `json:"power"`
-	Thermal  thermal.Params `json:"thermal"`
-	Checker  checker.Config `json:"checker"`
-	Limits   adapt.Limits   `json:"limits"`
-	Tech     tech.Config    `json:"tech"`
-	TraceLen int            `json:"trace_len"`
+	machineParams
+	TraceLen int `json:"trace_len"`
 
 	Mode   Mode             `json:"mode"`
 	App    string           `json:"app"`
@@ -241,23 +216,18 @@ type appRunParams struct {
 }
 
 // solverFingerprint is the content identity a dynamic solver contributes
-// to apprun keys: the SHA-256 hex of the trained weights for a fuzzy
-// solver, a fixed tag for the (stateless) exhaustive algorithm. An empty
-// return disables apprun caching for the calling unit.
+// to apprun keys: the trained weights' digest for a fuzzy solver (see
+// adapt.FuzzySolver.Fingerprint), a fixed tag for the (stateless)
+// exhaustive algorithm. An empty return disables apprun caching for the
+// calling unit.
 func solverFingerprint(solver adapt.Solver) string {
-	fs, ok := solver.(*adapt.FuzzySolver)
-	if !ok {
-		if _, ok := solver.(adapt.Exhaustive); ok {
-			return "exh"
-		}
-		return ""
+	switch sv := solver.(type) {
+	case *adapt.FuzzySolver:
+		return sv.Fingerprint()
+	case adapt.Exhaustive:
+		return "exh"
 	}
-	b, err := fs.MarshalBinary()
-	if err != nil {
-		return ""
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	return ""
 }
 
 // appRunKey derives the apprun artifact key for one (chip, environment,
@@ -271,20 +241,15 @@ func (s *Simulator) appRunKey(seed int64, cfg tech.Config, app workload.App,
 		return ""
 	}
 	params := appRunParams{
-		Varius:   s.opts.Varius,
-		Power:    s.opts.Power,
-		Thermal:  s.opts.Thermal,
-		Checker:  s.opts.Checker,
-		Limits:   s.opts.Limits,
-		Tech:     cfg,
-		TraceLen: s.opts.TraceLen,
-		Mode:     mode,
-		App:      app.Name,
-		Trace:    app.Trace,
-		Class:    app.Class,
-		Phases:   app.Phases,
-		Solver:   solverFP,
-		Static:   static,
+		machineParams: s.machineParams(cfg),
+		TraceLen:      s.opts.TraceLen,
+		Mode:          mode,
+		App:           app.Name,
+		Trace:         app.Trace,
+		Class:         app.Class,
+		Phases:        app.Phases,
+		Solver:        solverFP,
+		Static:        static,
 	}
 	if phase >= 0 {
 		if phase >= len(app.Phases) {
@@ -333,13 +298,8 @@ func (s *Simulator) cachedAppRun(seed int64, core *adapt.Core, app workload.App,
 // model, the technique configuration, and the identities of every class
 // profile the conservative worst-case profile folds over, in fold order.
 type staticPointParams struct {
-	Varius   varius.Params  `json:"varius"`
-	Power    power.Params   `json:"power"`
-	Thermal  thermal.Params `json:"thermal"`
-	Checker  checker.Config `json:"checker"`
-	Limits   adapt.Limits   `json:"limits"`
-	Tech     tech.Config    `json:"tech"`
-	TraceLen int            `json:"trace_len"`
+	machineParams
+	TraceLen int `json:"trace_len"`
 
 	Class workload.Class  `json:"class"`
 	Suite []profileParams `json:"suite"`
@@ -352,14 +312,9 @@ func (s *Simulator) cachedStaticPoint(core *adapt.Core, class workload.Class,
 		return s.StaticPoint(core, class, apps)
 	}
 	params := staticPointParams{
-		Varius:   s.opts.Varius,
-		Power:    s.opts.Power,
-		Thermal:  s.opts.Thermal,
-		Checker:  s.opts.Checker,
-		Limits:   s.opts.Limits,
-		Tech:     core.Config,
-		TraceLen: s.opts.TraceLen,
-		Class:    class,
+		machineParams: s.machineParams(core.Config),
+		TraceLen:      s.opts.TraceLen,
+		Class:         class,
 	}
 	for _, app := range apps {
 		if app.Class != class {
@@ -398,12 +353,7 @@ func (s *Simulator) cachedStaticPoint(core *adapt.Core, class workload.Class,
 // TrainOptions fields that matter. Workers and Obs are deliberately
 // absent: training output is byte-identical without them.
 type solverParams struct {
-	Varius  varius.Params  `json:"varius"`
-	Power   power.Params   `json:"power"`
-	Thermal thermal.Params `json:"thermal"`
-	Checker checker.Config `json:"checker"`
-	Limits  adapt.Limits   `json:"limits"`
-	Tech    tech.Config    `json:"tech"`
+	machineParams
 
 	ChipSeeds []int64 `json:"chip_seeds"`
 
@@ -434,12 +384,7 @@ func (s *Simulator) TrainFuzzyCached(cores []*adapt.Core, chipSeeds []int64, opt
 		return adapt.TrainFuzzySolver(cores, opts)
 	}
 	params := solverParams{
-		Varius:  s.opts.Varius,
-		Power:   s.opts.Power,
-		Thermal: s.opts.Thermal,
-		Checker: s.opts.Checker,
-		Limits:  s.opts.Limits,
-		Tech:    cores[0].Config,
+		machineParams: s.machineParams(cores[0].Config),
 
 		ChipSeeds: chipSeeds,
 
@@ -465,12 +410,8 @@ func (s *Simulator) TrainFuzzyCached(cores []*adapt.Core, chipSeeds []int64, opt
 	err = s.store.GetOrBuild(solverKind, key,
 		func(payload []byte) error {
 			sv := new(adapt.FuzzySolver)
-			uerr := sv.UnmarshalJSON
-			if artifact.IsBinary(payload) {
-				uerr = sv.UnmarshalBinary
-			}
-			if derr := uerr(payload); derr != nil {
-				return derr
+			if err := sv.UnmarshalBinary(payload); err != nil {
+				return err
 			}
 			solver = sv
 			return nil
@@ -488,9 +429,11 @@ func (s *Simulator) TrainFuzzyCached(cores []*adapt.Core, chipSeeds []int64, opt
 	return solver, nil
 }
 
-// machineParams is the machine-model slice of key material every
-// result-level artifact shares: everything that shapes a core's physics
-// besides the technique configuration.
+// machineParams is the machine-model slice of key material the solver
+// and result-level artifacts share: the machine models behind a core plus
+// its technique configuration. The apprun, staticpt and solver keys embed
+// it, so its fields sit inline in their key JSON; the outcomes and table2
+// keys nest it under "machine".
 type machineParams struct {
 	Varius  varius.Params  `json:"varius"`
 	Power   power.Params   `json:"power"`

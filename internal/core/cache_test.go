@@ -97,61 +97,6 @@ func TestArtifactCacheColdWarmGolden(t *testing.T) {
 	}
 }
 
-// TestArtifactCacheMigratedGolden is the v1 read-through contract at
-// experiment level: a store seeded with legacy one-file-per-artifact JSON
-// entries must serve them (migrating each into the packed layout), produce
-// a byte-identical summary, and leave a store that serves the next run
-// from packfiles alone.
-func TestArtifactCacheMigratedGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-stack experiment")
-	}
-	opts, cfg := cacheTestConfig()
-	dir := t.TempDir()
-	// Seed a v1-layout store: every evaluation chip as a legacy JSON entry,
-	// exactly what a pre-packfile cache directory held.
-	fresh, err := NewSimulator(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ci := 0; ci < cfg.Chips; ci++ {
-		seed := cfg.SeedBase + int64(ci)
-		key, err := artifact.Key(chipKind, opts.Varius, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload, err := json.Marshal(fresh.Chip(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := artifact.WriteLegacyEntry(dir, chipKind, key, payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	migrated, reg := runSummaryWithCache(t, dir)
-	if n := reg.Counter("artifact.cache.migrated").Value(); n != int64(cfg.Chips) {
-		t.Fatalf("migrated %d legacy entries, want %d", n, cfg.Chips)
-	}
-	if n := reg.Counter("artifact.cache.chip.hits").Value(); n < int64(cfg.Chips) {
-		t.Fatalf("chip hits %d; legacy entries were rebuilt instead of read through", n)
-	}
-	uncached, _ := runSummaryWithCache(t, "")
-	if !bytes.Equal(migrated, uncached) {
-		t.Fatalf("migrated and uncached summaries differ:\n migrated %s\n uncached %s", migrated, uncached)
-	}
-	// The rewrite is durable: a second run hits without migrating again.
-	warm, warmReg := runSummaryWithCache(t, dir)
-	if n := warmReg.Counter("artifact.cache.migrated").Value(); n != 0 {
-		t.Fatalf("second run migrated %d entries again", n)
-	}
-	if n := warmReg.Counter("artifact.cache.misses").Value(); n != 0 {
-		t.Fatalf("second run rebuilt %d artifacts", n)
-	}
-	if !bytes.Equal(migrated, warm) {
-		t.Fatal("migrated-store summary changed between runs")
-	}
-}
-
 // TestColdCacheOverhead bounds the write-path tax: a cold run that
 // populates the store (encodes, appends, flushes, closes) must stay
 // within 10% of the uncached wall time, plus a small absolute slack that

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/adapt"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/mathx"
 	"repro/internal/obs"
 	"repro/internal/tech"
-	"repro/internal/varius"
 	"repro/internal/vats"
 	"repro/internal/workload"
 )
@@ -177,10 +177,10 @@ func (s *Simulator) RunSummary(cfg ExperimentConfig) (*Summary, error) {
 	// The work queue holds (chip × environment) units: at small chip
 	// counts a per-chip fan-out leaves workers idle while the last chip
 	// grinds through all six environments, whereas units keep the pool
-	// busy to the tail. Per-chip state (stage models, PE-table donor,
-	// Baseline anchors) builds once under the chip's sync.Once and is
-	// then shared read-only by that chip's units.
-	nEnvs := len(cfg.Envs)
+	// busy to the tail. A chip's handle and Baseline anchors build once,
+	// when its first unit arrives, and are then shared read-only by that
+	// chip's units.
+	nEnvs, nModes := len(cfg.Envs), len(cfg.Modes)
 	nUnits := cfg.Chips * nEnvs
 	var prog *obs.Progress
 	if s.progressW != nil {
@@ -188,9 +188,10 @@ func (s *Simulator) RunSummary(cfg ExperimentConfig) (*Summary, error) {
 		defer prog.Stop()
 	}
 
-	shared := make([]chipShared, cfg.Chips)
+	chips := make([]lazyChip, cfg.Chips)
+	anchors := make([]baselineAnchors, cfg.Chips)
 	type unitResult struct {
-		cells *cellMap
+		cells []cellAccum // one per cfg.Modes entry
 		err   error
 	}
 	results := make([]unitResult, nUnits)
@@ -199,20 +200,19 @@ func (s *Simulator) RunSummary(cfg ExperimentConfig) (*Summary, error) {
 		seed := cfg.SeedBase + int64(ci)
 		env := cfg.Envs[ei]
 		prog.SetWorker(slot, fmt.Sprintf("chip %d %v", seed, env))
-		sh := &shared[ci]
-		sh.once.Do(func() {
-			defer s.obs.Timer("core.chip_prep").Start().Stop()
-			sh.init(s, apps, noVarPerf, seed)
+		h, err := chips[ci].get(s, seed, func(h *ChipHandle) error {
+			return anchors[ci].measure(s, h, apps, noVarPerf)
 		})
-		if sh.err == nil {
+		if err == nil {
 			unitSW := s.obs.Timer("core.unit").Start()
-			cells, err := s.runChipEnv(cfg, apps, noVarPerf, needFuzzy, sh, env, seed)
+			cells, err := s.runChipEnv(cfg, apps, noVarPerf, needFuzzy, h, env)
 			unitSW.Stop()
 			results[u] = unitResult{cells: cells, err: err}
 		}
 		prog.SetWorker(slot, "idle")
 		prog.Step(1)
 	})
+	s.releaseChips(chips)
 
 	sum := &Summary{Chips: cfg.Chips, NoVarPowerW: noVarPower}
 	for _, a := range apps {
@@ -221,121 +221,79 @@ func (s *Simulator) RunSummary(cfg ExperimentConfig) (*Summary, error) {
 	// Index-ordered reduction: baselines fold chips-ascending and cells
 	// fold (chip, env)-ascending, so every float accumulates in the same
 	// order regardless of how the pool scheduled the units.
-	agg := make(map[cellKey]*cellAccum)
-	for ci := range shared {
-		if shared[ci].err != nil {
-			return nil, shared[ci].err
+	for ci := range chips {
+		if chips[ci].err != nil {
+			return nil, chips[ci].err
 		}
-		// All units are done, so the donor's table store is quiescent:
-		// persist any tables this run built beyond the imported entry.
-		s.storePETables(shared[ci].donor, cfg.SeedBase+int64(ci), shared[ci].petables)
-		sum.BaselineFRel += shared[ci].baseF / float64(cfg.Chips)
-		sum.BaselinePerfR += shared[ci].basePerfR / float64(cfg.Chips)
-		sum.BaselinePowerW += shared[ci].basePower / float64(cfg.Chips)
+		sum.BaselineFRel += anchors[ci].f / float64(cfg.Chips)
+		sum.BaselinePerfR += anchors[ci].perfR / float64(cfg.Chips)
+		sum.BaselinePowerW += anchors[ci].powerW / float64(cfg.Chips)
 	}
-	for _, r := range results {
+	agg := make([]cellAccum, nEnvs*nModes)
+	for u, r := range results {
 		if r.err != nil {
 			return nil, r.err
 		}
-		if r.cells == nil {
-			continue
-		}
-		for _, k := range r.cells.keys {
-			if agg[k] == nil {
-				agg[k] = &cellAccum{}
-			}
-			agg[k].fold(r.cells.m[k])
+		for mi := range r.cells {
+			agg[(u%nEnvs)*nModes+mi].fold(&r.cells[mi])
 		}
 	}
-	for _, env := range cfg.Envs {
-		for _, mode := range cfg.Modes {
-			k := cellKey{env: env, mode: mode}
-			a, ok := agg[k]
-			if !ok {
-				continue
-			}
-			sum.Cells = append(sum.Cells, a.cell(env, mode))
+	for ei, env := range cfg.Envs {
+		for mi, mode := range cfg.Modes {
+			sum.Cells = append(sum.Cells, agg[ei*nModes+mi].cell(env, mode))
 		}
 	}
 	return sum, nil
 }
 
-// chipShared is the per-chip state shared by that chip's (chip × env)
-// work units: the stage-model assembly, the PE-fmax-table donor core, and
-// the Baseline anchors. The first unit to touch the chip builds all of it
-// under the chip's sync.Once; afterwards the units read it concurrently —
-// the stage models are immutable and the donor's table store publishes
-// lazy builds atomically (see the adapt package comment).
-type chipShared struct {
+// lazyChip is one chip's handle within an experiment: the first unit to
+// reach the chip acquires it, and runs the experiment's per-chip prep,
+// under the once; the chip's other units then share it.
+type lazyChip struct {
 	once sync.Once
+	h    *ChipHandle
 	err  error
-	subs []adapt.Subsystem
-	// donor exists only to hold the chip's shared PE-table store; the
-	// tables depend on the stage models alone, so its technique
-	// configuration is irrelevant.
-	donor *adapt.Core
-	// petables counts the PE-fmax tables seeded into the donor from the
-	// artifact cache, so the reduction only writes the entry back when the
-	// run built tables beyond it.
-	petables                    int
-	baseF, basePerfR, basePower float64
 }
 
-func (sh *chipShared) init(s *Simulator, apps []workload.App, noVarPerf map[string]float64, seed int64) {
-	var span *obs.Span
+func (c *lazyChip) get(s *Simulator, seed int64, prep func(*ChipHandle) error) (*ChipHandle, error) {
+	c.once.Do(func() {
+		if c.h, c.err = s.AcquireChip(seed); c.err == nil && prep != nil {
+			c.err = prep(c.h)
+		}
+	})
+	return c.h, c.err
+}
+
+// releaseChips releases every handle an experiment's pool acquired. The
+// pool has drained, so each handle is quiescent.
+func (s *Simulator) releaseChips(chips []lazyChip) {
+	for i := range chips {
+		s.ReleaseChip(chips[i].h)
+	}
+}
+
+// baselineAnchors is one chip's contribution to the Summary's Baseline
+// line: its worst-case-safe frequency and the suite-mean Baseline
+// performance (relative to NoVar) and power.
+type baselineAnchors struct {
+	f, perfR, powerW float64
+}
+
+func (b *baselineAnchors) measure(s *Simulator, h *ChipHandle, apps []workload.App, noVarPerf map[string]float64) error {
 	if s.tracer != nil {
-		span = s.tracer.Start(fmt.Sprintf("chip %d prep", seed))
+		span := s.tracer.Start(fmt.Sprintf("chip %d baseline", h.seed))
 		defer span.End()
 	}
-	chip := s.Chip(seed)
-	subs, err := s.buildSubsystems(chip)
-	if err != nil {
-		sh.err = err
-		return
-	}
-	sh.subs = subs
-	if sh.donor, err = s.coreFromSubsystems(subs, tech.Config{TimingSpec: true}); err != nil {
-		sh.err = err
-		return
-	}
-	sh.petables = s.loadPETables(sh.donor, seed)
-	if sh.baseF, err = s.ChipFVar(chip); err != nil {
-		sh.err = err
-		return
-	}
-	baseSpan := span.Child("baseline")
+	b.f = h.FVar()
 	for _, app := range apps {
-		r, err := s.RunBaseline(chip, app)
+		r, err := s.RunBaseline(h.chip, app)
 		if err != nil {
-			sh.err = err
-			return
+			return err
 		}
-		sh.basePerfR += r.Perf / noVarPerf[app.Name] / float64(len(apps))
-		sh.basePower += r.PowerW / float64(len(apps))
+		b.perfR += r.Perf / noVarPerf[app.Name] / float64(len(apps))
+		b.powerW += r.PowerW / float64(len(apps))
 	}
-	baseSpan.End()
-}
-
-// cellMap is an insertion-ordered map of cell accumulators: iteration
-// follows first-insertion order so the reduction in RunSummary visits
-// keys the way the serial loop produced them.
-type cellMap struct {
-	keys []cellKey
-	m    map[cellKey]*cellAccum
-}
-
-func newCellMap() *cellMap {
-	return &cellMap{m: make(map[cellKey]*cellAccum)}
-}
-
-func (c *cellMap) at(k cellKey) *cellAccum {
-	a, ok := c.m[k]
-	if !ok {
-		a = &cellAccum{}
-		c.m[k] = a
-		c.keys = append(c.keys, k)
-	}
-	return a
+	return nil
 }
 
 // TrainSolver trains fuzzy controllers for one environment across
@@ -364,11 +322,6 @@ func (s *Simulator) TrainSolver(env Environment, cfg ExperimentConfig) (*adapt.F
 		seeds = append(seeds, seed)
 	}
 	return s.TrainFuzzyCached(cores, seeds, cfg.Training)
-}
-
-type cellKey struct {
-	env  Environment
-	mode Mode
 }
 
 // cellAccum accumulates app-run metrics.
@@ -428,108 +381,81 @@ func (a *cellAccum) cell(env Environment, mode Mode) Cell {
 	return c
 }
 
-// runChipEnv executes one (chip × environment) work unit: builds the
-// environment's core over the chip's shared stage models and PE-table
-// store, trains this chip's controllers if the Fuzzy-Dyn mode needs them,
-// and runs every mode × app of the cell. The chip's cores run on whatever
-// worker goroutine the unit lands on; only the concurrency-safe table
-// store is shared between units.
+// runChipEnv executes one (chip × environment) work unit on the chip's
+// handle: builds the environment's core, trains this chip's controllers
+// if the Fuzzy-Dyn mode needs them, chooses the static points if the
+// Static mode does, and runs every mode × app of the cell through
+// UnitAppRun, returning one accumulator per cfg.Modes entry. The core's
+// thermal solver warm-starts from its previous solve, so this order —
+// train, Int point, FP point, then modes in cfg.Modes order — is part of
+// the result.
 func (s *Simulator) runChipEnv(cfg ExperimentConfig, apps []workload.App,
-	noVarPerf map[string]float64, needFuzzy bool,
-	sh *chipShared, env Environment, seed int64) (*cellMap, error) {
+	noVarPerf map[string]float64, needFuzzy bool, h *ChipHandle, env Environment) ([]cellAccum, error) {
 	var envSpan *obs.Span
 	if s.tracer != nil {
-		envSpan = s.tracer.Start(fmt.Sprintf("chip %d %v", seed, env))
+		envSpan = s.tracer.Start(fmt.Sprintf("chip %d %v", h.seed, env))
 		defer envSpan.End()
 	}
-	cfg0 := env.Config()
-	if !cfg0.TimingSpec {
-		cfg0 = tech.Config{TimingSpec: true}
-	}
-	core, err := s.coreFromSubsystems(sh.subs, cfg0)
+	core, err := s.HandleCore(h, env)
 	if err != nil {
-		return nil, err
-	}
-	if err := core.SharePETables(sh.donor); err != nil {
 		return nil, err
 	}
 	// Per-chip fuzzy training: the manufacturer populates this chip's
 	// controllers by running the Exhaustive algorithm on a software
-	// model of *this* chip (§4.3.1).
-	var solver *adapt.FuzzySolver
-	fuzzyFP := ""
+	// model of *this* chip (§4.3.1). The solver lives as long as the
+	// unit; keeping it on the handle would hold every environment's
+	// controllers until the chip is released.
+	var fuzzySolver *adapt.FuzzySolver
 	if needFuzzy {
 		trainSpan := envSpan.Child("train solver")
 		trainSW := s.obs.Timer("core.fuzzy_train").Start()
-		if solver, err = s.TrainFuzzyCached([]*adapt.Core{core}, []int64{seed}, cfg.Training); err != nil {
+		if fuzzySolver, err = s.TrainFuzzyCached([]*adapt.Core{core}, []int64{h.seed}, cfg.Training); err != nil {
 			return nil, err
 		}
 		trainSW.Stop()
 		trainSpan.End()
-		fuzzyFP = solverFingerprint(solver)
 	}
-	// Static points per class, chosen once per chip — only for classes the
-	// app set actually contains, so single-class workload sets (a common
-	// shape for generated scenarios) run Static without error.
-	var staticInt, staticFP adapt.OperatingPoint
-	hasStatic := false
-	for _, m := range cfg.Modes {
-		if m == Static {
-			hasStatic = true
-		}
-	}
-	if hasStatic {
-		hasInt, hasFP := false, false
-		for _, a := range apps {
-			if a.Class == workload.FP {
-				hasFP = true
-			} else {
-				hasInt = true
+	// Static points per class — only for classes the app set actually
+	// contains, so single-class workload sets (a common shape for
+	// generated scenarios) run Static without error.
+	static := map[workload.Class]*adapt.OperatingPoint{}
+	if slices.Contains(cfg.Modes, Static) {
+		for _, class := range []workload.Class{workload.Int, workload.FP} {
+			if !slices.ContainsFunc(apps, func(a workload.App) bool { return a.Class == class }) {
+				continue
 			}
-		}
-		if hasInt {
-			if staticInt, err = s.cachedStaticPoint(core, workload.Int, apps, seed); err != nil {
+			pt, err := s.HandleStaticPoint(h, core, class, apps)
+			if err != nil {
 				return nil, err
 			}
-		}
-		if hasFP {
-			if staticFP, err = s.cachedStaticPoint(core, workload.FP, apps, seed); err != nil {
-				return nil, err
-			}
+			static[class] = &pt
 		}
 	}
-	cells := newCellMap()
-	for _, mode := range cfg.Modes {
-		acc := cells.at(cellKey{env: env, mode: mode})
+	cells := make([]cellAccum, len(cfg.Modes))
+	for mi, mode := range cfg.Modes {
 		cellSW := s.obs.Timer("core.cell").Start()
 		modeSpan := envSpan.Child(mode.String())
+		var solver adapt.Solver
+		switch mode {
+		case FuzzyDyn:
+			solver = fuzzySolver
+		case ExhDyn:
+			solver = adapt.Exhaustive{}
+		}
 		for _, app := range apps {
 			appSpan := modeSpan.Child(app.Name)
 			appSW := s.obs.Timer("core.app_run").Start()
-			var run AppRun
-			switch mode {
-			case Static:
-				point := staticInt
-				if app.Class == workload.FP {
-					point = staticFP
-				}
-				run, err = s.cachedAppRun(seed, core, app, Static, "", &point, -1,
-					func() (AppRun, error) { return s.RunStatic(core, app, point) })
-			case FuzzyDyn:
-				run, err = s.cachedAppRun(seed, core, app, FuzzyDyn, fuzzyFP, nil, -1,
-					func() (AppRun, error) { return s.RunDynamic(core, app, FuzzyDyn, solver) })
-			case ExhDyn:
-				run, err = s.cachedAppRun(seed, core, app, ExhDyn, "exh", nil, -1,
-					func() (AppRun, error) { return s.RunDynamic(core, app, ExhDyn, adapt.Exhaustive{}) })
-			default:
-				err = fmt.Errorf("core: unknown mode %v", mode)
+			u := FleetUnit{App: app, Phase: -1}
+			if mode == Static {
+				u.Static = static[app.Class]
 			}
+			run, err := s.UnitAppRun(h.seed, core, mode, solver, u)
 			appSW.Stop()
 			appSpan.End()
 			if err != nil {
-				return nil, fmt.Errorf("chip %d %v/%v: %w", seed, env, mode, err)
+				return nil, fmt.Errorf("chip %d %v/%v: %w", h.seed, env, mode, err)
 			}
-			acc.add(run, noVarPerf[app.Name])
+			cells[mi].add(run, noVarPerf[app.Name])
 		}
 		modeSpan.End()
 		cellSW.Stop()
@@ -598,10 +524,12 @@ func (s *Simulator) RunOutcomes(cfg ExperimentConfig) ([]OutcomeCell, error) {
 	s.prefetchArtifacts(cfg, apps)
 	cells := Figure13Configs()
 	// (config × chip) units over the shared pool. Each unit builds and
-	// trains its own core, so units share nothing mutable; per-unit
+	// trains its own core over its chip's handle, so units share only the
+	// handle's stage models and concurrency-safe PE tables; per-unit
 	// outcome counts reduce config-major, chips-ascending, which keeps
 	// every float sum in the serial loop's order.
 	nUnits := len(cells) * cfg.Chips
+	chips := make([]lazyChip, cfg.Chips)
 	var prog *obs.Progress
 	if s.progressW != nil {
 		prog = obs.NewProgress(s.progressW, "config×chip", nUnits, min(cfg.Workers, nUnits))
@@ -619,14 +547,7 @@ func (s *Simulator) RunOutcomes(cfg ExperimentConfig) ([]OutcomeCell, error) {
 		defer s.obs.Timer("core.unit").Start().Stop()
 		r := &results[u]
 		seed := cfg.SeedBase + int64(ci)
-		chip := s.Chip(seed)
-		core, err := s.BuildCoreWithConfig(chip, cells[idx].Config)
-		if err != nil {
-			r.err = err
-			return
-		}
-		// Per-chip controller training (§4.3.1).
-		solver, err := s.TrainFuzzyCached([]*adapt.Core{core}, []int64{seed}, cfg.Training)
+		core, solver, err := s.trainedCore(&chips[ci], seed, cells[idx].Config, cfg.Training)
 		if err != nil {
 			r.err = err
 			return
@@ -634,7 +555,7 @@ func (s *Simulator) RunOutcomes(cfg ExperimentConfig) ([]OutcomeCell, error) {
 		// The whole unit — one chip's AdaptSteady sweep across every app
 		// phase — caches as one outcomes artifact; a warm invocation
 		// replays the counts without re-running the controller.
-		p, err := s.cachedOutcomeUnit(seed, core, solverFingerprint(solver), apps,
+		p, err := s.cachedOutcomeUnit(seed, core, solver.Fingerprint(), apps,
 			func() (outcomePayload, error) {
 				var p outcomePayload
 				for _, app := range apps {
@@ -661,6 +582,7 @@ func (s *Simulator) RunOutcomes(cfg ExperimentConfig) ([]OutcomeCell, error) {
 		prog.SetWorker(slot, "idle")
 		prog.Step(1)
 	})
+	s.releaseChips(chips)
 	for idx := range cells {
 		var counts [adapt.NumOutcomes]float64
 		total := 0.0
@@ -684,13 +606,24 @@ func (s *Simulator) RunOutcomes(cfg ExperimentConfig) ([]OutcomeCell, error) {
 	return cells, nil
 }
 
-// BuildCoreWithConfig is BuildCore for an arbitrary technique configuration.
-func (s *Simulator) BuildCoreWithConfig(chip *varius.ChipMaps, cfg tech.Config) (*adapt.Core, error) {
-	subs, err := s.buildSubsystems(chip)
+// trainedCore builds cfg's core over the chip's handle (acquiring it on
+// the chip's first unit) and trains the chip's controllers on it
+// (§4.3.1): the per-unit set-up of Figure 13 and Table 2.
+func (s *Simulator) trainedCore(c *lazyChip, seed int64, cfg tech.Config,
+	opts adapt.TrainOptions) (*adapt.Core, *adapt.FuzzySolver, error) {
+	h, err := c.get(s, seed, nil)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return s.coreFromSubsystems(subs, cfg)
+	core, err := s.handleCore(h, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	solver, err := s.TrainFuzzyCached([]*adapt.Core{core}, []int64{seed}, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return core, solver, nil
 }
 
 // Table2Row is one row of Table 2: the mean |fuzzy - exhaustive| for one
@@ -760,28 +693,22 @@ func (s *Simulator) RunTable2(cfg ExperimentConfig) ([]Table2Row, error) {
 		err                  error
 	}
 	results := make([]t2acc, nUnits)
+	chips := make([]lazyChip, cfg.Chips)
 	obs.RunPool(s.obs, "core.pool", cfg.Workers, nUnits, func(slot, u int) {
 		ei, ci := u/cfg.Chips, u%cfg.Chips
 		defer s.obs.Timer("core.unit").Start().Stop()
 		r := &results[u]
 		seed := cfg.SeedBase + int64(ci)
-		chip := s.Chip(seed)
-		core, err := s.BuildCoreWithConfig(chip, envs[ei].cfg)
-		if err != nil {
-			r.err = err
-			return
-		}
-		// Per-chip controller training (§4.3.1): accuracy is measured
-		// on the chip whose model populated the controllers, at
-		// operating situations the training never saw.
-		solver, err := s.TrainFuzzyCached([]*adapt.Core{core}, []int64{seed}, cfg.Training)
+		// Accuracy is measured on the chip whose model populated the
+		// controllers, at operating situations the training never saw.
+		core, solver, err := s.trainedCore(&chips[ci], seed, envs[ei].cfg, cfg.Training)
 		if err != nil {
 			r.err = err
 			return
 		}
 		// The whole unit — every solve across the pre-drawn query stream —
 		// caches as one table2 artifact keyed on the stream itself.
-		p, err := s.cachedTable2Unit(seed, core, solverFingerprint(solver), draws[u],
+		p, err := s.cachedTable2Unit(seed, core, solver.Fingerprint(), draws[u],
 			func() (table2Payload, error) {
 				p := table2Payload{
 					FErr:   make(map[floorplan.Kind][]float64),
@@ -817,6 +744,7 @@ func (s *Simulator) RunTable2(cfg ExperimentConfig) ([]Table2Row, error) {
 		}
 		r.fErr, r.vddErr, r.vbbErr = p.FErr, p.VddErr, p.VbbErr
 	})
+	s.releaseChips(chips)
 	var rows []Table2Row
 	for ei, env := range envs {
 		type acc struct {

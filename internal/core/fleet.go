@@ -11,21 +11,21 @@ import (
 	"repro/internal/workload"
 )
 
-// This file is the Simulator's fleet surface: the handle-per-chip API the
-// internal/fleet event loop schedules over. A ChipHandle owns the
-// expensive per-die state (variation maps, stage models, the shared
-// PE-table donor) exactly the way RunSummary's chipShared does, but with
-// an explicit acquire/release lifetime instead of a pool-scoped
-// sync.Once, so a long-running service can admit and retire chips as
-// join/leave events arrive. Everything derived per (environment, class)
-// — cores, trained fuzzy controllers, static operating points — is
-// memoized on the handle under its own lock.
+// This file is the Simulator's unit engine: the handle-per-chip API that
+// every experiment and the internal/fleet event loop run their units on.
+// A ChipHandle owns the expensive per-die state (variation maps, stage
+// models, the shared PE-table donor) with an explicit acquire/release
+// lifetime: RunSummary, RunOutcomes and RunTable2 acquire one per chip
+// and release it when their pool drains, and a long-running service
+// admits and retires chips as join/leave events arrive. Cores are built
+// per technique configuration over the handle; trained fuzzy controllers
+// and static operating points are memoized on it per key.
 
 // ChipHandle is one admitted chip's shared state. The immutable parts
 // (maps, stage models, FVar) are built once by AcquireChip and then read
-// concurrently; the memo maps are guarded by mu; the donor's PE-table
-// store is concurrency-safe by construction (see the adapt package
-// comment).
+// concurrently; the memo maps are guarded by mu, and each entry builds
+// outside it; the donor's PE-table store is concurrency-safe by
+// construction (see the adapt package comment).
 type ChipHandle struct {
 	seed     int64
 	chip     *varius.ChipMaps
@@ -35,14 +35,45 @@ type ChipHandle struct {
 	fvar     float64
 
 	mu      sync.Mutex
-	solvers map[tech.Config]*adapt.FuzzySolver
-	fps     map[tech.Config]string
-	statics map[staticKey]adapt.OperatingPoint
+	solvers map[tech.Config]*memoCell[*adapt.FuzzySolver]
+	statics map[staticKey]*memoCell[adapt.OperatingPoint]
 }
 
 type staticKey struct {
 	cfg   tech.Config
 	class workload.Class
+}
+
+// memoCell is one memoized handle entry; done closes once v and err are
+// set.
+type memoCell[V any] struct {
+	done chan struct{}
+	v    V
+	err  error
+}
+
+// memoize returns m[k], building it on first request. mu guards only the
+// map: the build runs unlocked, so requests for other keys proceed while
+// it does, and concurrent requests for k wait for the one build. A failed
+// build is dropped from the map, so a later request retries it.
+func memoize[K comparable, V any](mu *sync.Mutex, m map[K]*memoCell[V], k K, build func() (V, error)) (V, error) {
+	mu.Lock()
+	if c, ok := m[k]; ok {
+		mu.Unlock()
+		<-c.done
+		return c.v, c.err
+	}
+	c := &memoCell[V]{done: make(chan struct{})}
+	m[k] = c
+	mu.Unlock()
+	c.v, c.err = build()
+	if c.err != nil {
+		mu.Lock()
+		delete(m, k)
+		mu.Unlock()
+	}
+	close(c.done)
+	return c.v, c.err
 }
 
 // Seed returns the handle's generator seed.
@@ -52,7 +83,7 @@ func (h *ChipHandle) Seed() int64 { return h.seed }
 // Baseline environment's clock.
 func (h *ChipHandle) FVar() float64 { return h.fvar }
 
-// AcquireChip builds (or loads) one chip's fleet handle: variation maps,
+// AcquireChip builds (or loads) one chip's handle: variation maps,
 // stage-model assembly, PE-table donor seeded from the artifact cache,
 // and the worst-case-safe frequency. Release with ReleaseChip to write
 // accumulated PE tables back.
@@ -61,9 +92,8 @@ func (s *Simulator) AcquireChip(seed int64) (*ChipHandle, error) {
 	h := &ChipHandle{
 		seed:    seed,
 		chip:    s.Chip(seed),
-		solvers: make(map[tech.Config]*adapt.FuzzySolver),
-		fps:     make(map[tech.Config]string),
-		statics: make(map[staticKey]adapt.OperatingPoint),
+		solvers: make(map[tech.Config]*memoCell[*adapt.FuzzySolver]),
+		statics: make(map[staticKey]*memoCell[adapt.OperatingPoint]),
 	}
 	var err error
 	if h.subs, err = s.buildSubsystems(h.chip); err != nil {
@@ -84,7 +114,7 @@ func (s *Simulator) AcquireChip(seed int64) (*ChipHandle, error) {
 
 // ReleaseChip retires a handle, persisting any PE-fmax tables its units
 // built beyond what AcquireChip imported. The handle must be quiescent
-// (no unit still running on its cores).
+// (no unit still running on its cores). A nil handle is a no-op.
 func (s *Simulator) ReleaseChip(h *ChipHandle) {
 	if h == nil {
 		return
@@ -100,6 +130,12 @@ func (s *Simulator) HandleCore(h *ChipHandle, env Environment) (*adapt.Core, err
 	if !cfg.TimingSpec {
 		cfg = tech.Config{TimingSpec: true}
 	}
+	return s.handleCore(h, cfg)
+}
+
+// handleCore is HandleCore for any technique configuration, including
+// the Figure 13 and Table 2 grids outside Table 1.
+func (s *Simulator) handleCore(h *ChipHandle, cfg tech.Config) (*adapt.Core, error) {
 	core, err := s.coreFromSubsystems(h.subs, cfg)
 	if err != nil {
 		return nil, err
@@ -111,41 +147,27 @@ func (s *Simulator) HandleCore(h *ChipHandle, env Environment) (*adapt.Core, err
 }
 
 // HandleSolver returns the chip's trained fuzzy controllers for cpu's
-// technique configuration, training (through the artifact cache) on
-// first use and memoizing per configuration afterwards. The memo assumes
-// one TrainOptions per handle lifetime — the fleet service trains with
-// one fixed option set.
+// technique configuration and their fingerprint, training (through the
+// artifact cache) on first use and memoizing per configuration
+// afterwards. The memo assumes one TrainOptions per handle lifetime — the
+// fleet service trains with one fixed option set.
 func (s *Simulator) HandleSolver(h *ChipHandle, cpu *adapt.Core, opts adapt.TrainOptions) (*adapt.FuzzySolver, string, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if sv, ok := h.solvers[cpu.Config]; ok {
-		return sv, h.fps[cpu.Config], nil
-	}
-	sv, err := s.TrainFuzzyCached([]*adapt.Core{cpu}, []int64{h.seed}, opts)
+	sv, err := memoize(&h.mu, h.solvers, cpu.Config, func() (*adapt.FuzzySolver, error) {
+		return s.TrainFuzzyCached([]*adapt.Core{cpu}, []int64{h.seed}, opts)
+	})
 	if err != nil {
 		return nil, "", err
 	}
-	h.solvers[cpu.Config] = sv
-	h.fps[cpu.Config] = solverFingerprint(sv)
-	return sv, h.fps[cpu.Config], nil
+	return sv, sv.Fingerprint(), nil
 }
 
 // HandleStaticPoint returns the chip's conservative static operating
 // point for cpu's configuration and the app's class, choosing it
 // (through the artifact cache) on first use.
 func (s *Simulator) HandleStaticPoint(h *ChipHandle, cpu *adapt.Core, class workload.Class, apps []workload.App) (adapt.OperatingPoint, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	k := staticKey{cfg: cpu.Config, class: class}
-	if pt, ok := h.statics[k]; ok {
-		return pt, nil
-	}
-	pt, err := s.cachedStaticPoint(cpu, class, apps, h.seed)
-	if err != nil {
-		return adapt.OperatingPoint{}, err
-	}
-	h.statics[k] = pt
-	return pt, nil
+	return memoize(&h.mu, h.statics, staticKey{cfg: cpu.Config, class: class}, func() (adapt.OperatingPoint, error) {
+		return s.cachedStaticPoint(cpu, class, apps, h.seed)
+	})
 }
 
 // FleetUnit is one schedulable simulation unit: an application, and
@@ -159,10 +181,10 @@ type FleetUnit struct {
 	Static *adapt.OperatingPoint
 }
 
-// UnitAppRun executes one fleet unit on cpu — through the apprun
-// artifact cache, at phase granularity when the unit names a phase. For
-// dynamic modes solver picks the algorithm (its weight fingerprint keys
-// the cache); Static mode requires u.Static.
+// UnitAppRun executes one unit on cpu — through the apprun artifact
+// cache, at phase granularity when the unit names a phase. For dynamic
+// modes solver picks the algorithm (its weight fingerprint keys the
+// cache); Static mode requires u.Static.
 func (s *Simulator) UnitAppRun(seed int64, cpu *adapt.Core, mode Mode, solver adapt.Solver, u FleetUnit) (AppRun, error) {
 	fp := ""
 	switch mode {
@@ -179,44 +201,8 @@ func (s *Simulator) UnitAppRun(seed int64, cpu *adapt.Core, mode Mode, solver ad
 		return AppRun{}, fmt.Errorf("core: %q has no phase %d", u.App.Name, u.Phase)
 	}
 	return s.cachedAppRun(seed, cpu, u.App, mode, fp, u.Static, u.Phase, func() (AppRun, error) {
-		if u.Phase < 0 {
-			switch mode {
-			case Static:
-				return s.RunStatic(cpu, u.App, *u.Static)
-			default:
-				return s.RunDynamic(cpu, u.App, mode, solver)
-			}
-		}
-		return s.runPhase(cpu, u.App, u.App.Phases[u.Phase], mode, solver, u.Static)
+		return s.runUnit(cpu, u.App, u.Phase, mode, solver, u.Static)
 	})
-}
-
-// runPhase runs one phase as its own unit, weighted as a whole app
-// (weight 1): the fleet's phase-change event granularity.
-func (s *Simulator) runPhase(cpu *adapt.Core, app workload.App, ph workload.Phase,
-	mode Mode, solver adapt.Solver, static *adapt.OperatingPoint) (AppRun, error) {
-	env, err := envOfConfig(cpu.Config)
-	if err != nil {
-		return AppRun{}, err
-	}
-	prof, err := s.Profile(app, ph)
-	if err != nil {
-		return AppRun{}, err
-	}
-	phaseSW := s.obs.Timer("core.phase.adapt").Start()
-	var res adapt.RetuneResult
-	if mode == Static {
-		res, err = staticRetune(cpu, *static, prof)
-	} else {
-		res, err = cpu.AdaptSteady(prof, solver)
-	}
-	phaseSW.Stop()
-	if err != nil {
-		return AppRun{}, fmt.Errorf("core: %s %s phase %d: %w", env, app.Name, ph.Index, err)
-	}
-	run := AppRun{App: app.Name, Env: env, Mode: mode}
-	accumulate(&run, 1, res)
-	return run, nil
 }
 
 // PeekAppRuns probes the artifact store for finished results of a batch

@@ -12,10 +12,9 @@ import (
 )
 
 // Binary payload format versions for the artifact kinds whose structs
-// live in (or are assembled by) this package. Independent of the kind
-// versions in cache.go: decoders sniff the payload's first byte, so a
-// store can hold JSON (migrated v1) and binary records of one kind side
-// by side.
+// live in (or are assembled by) this package, independent of the kind
+// versions in cache.go. A decoder rejects a payload whose tag or version
+// does not match, and the store rebuilds it.
 const (
 	profileBinVersion  = 1
 	petablesBinVersion = 1

@@ -136,25 +136,7 @@ func (s *Simulator) RunDynamic(core *adapt.Core, app workload.App, mode Mode, so
 	if mode != FuzzyDyn && mode != ExhDyn {
 		return AppRun{}, fmt.Errorf("core: RunDynamic requires a dynamic mode, got %v", mode)
 	}
-	env, err := envOfConfig(core.Config)
-	if err != nil {
-		return AppRun{}, err
-	}
-	run := AppRun{App: app.Name, Env: env, Mode: mode}
-	for _, ph := range app.Phases {
-		prof, err := s.Profile(app, ph)
-		if err != nil {
-			return AppRun{}, err
-		}
-		phaseSW := s.obs.Timer("core.phase.adapt").Start()
-		res, err := core.AdaptSteady(prof, solver)
-		phaseSW.Stop()
-		if err != nil {
-			return AppRun{}, fmt.Errorf("core: %s %s phase %d: %w", env, app.Name, ph.Index, err)
-		}
-		accumulate(&run, ph.Weight, res)
-	}
-	return run, nil
+	return s.runUnit(core, app, -1, mode, solver, nil)
 }
 
 // StaticPoint chooses the one conservative configuration a Static chip uses
@@ -219,23 +201,46 @@ func (s *Simulator) conservativeProfile(class workload.Class, apps []workload.Ap
 // The hardware's protective retuning still acts if a phase manages to
 // violate a constraint (it should not, given the conservative choice).
 func (s *Simulator) RunStatic(core *adapt.Core, app workload.App, point adapt.OperatingPoint) (AppRun, error) {
+	return s.runUnit(core, app, -1, Static, nil, &point)
+}
+
+// runUnit adapts one unit on core: every phase of app weighted by its
+// Weight (phase < 0), or the single phase at position phase weighted as
+// a whole app (weight 1) — the fleet's phase-change event granularity.
+// Static mode holds the phases at static (with protective retuning);
+// the dynamic modes re-run solver's controller per phase.
+func (s *Simulator) runUnit(core *adapt.Core, app workload.App, phase int,
+	mode Mode, solver adapt.Solver, static *adapt.OperatingPoint) (AppRun, error) {
 	env, err := envOfConfig(core.Config)
 	if err != nil {
 		return AppRun{}, err
 	}
-	run := AppRun{App: app.Name, Env: env, Mode: Static}
-	for _, ph := range app.Phases {
+	phases := app.Phases
+	if phase >= 0 {
+		phases = phases[phase : phase+1]
+	}
+	run := AppRun{App: app.Name, Env: env, Mode: mode}
+	for _, ph := range phases {
 		prof, err := s.Profile(app, ph)
 		if err != nil {
 			return AppRun{}, err
 		}
 		phaseSW := s.obs.Timer("core.phase.adapt").Start()
-		res, err := staticRetune(core, point, prof)
+		var res adapt.RetuneResult
+		if mode == Static {
+			res, err = staticRetune(core, *static, prof)
+		} else {
+			res, err = core.AdaptSteady(prof, solver)
+		}
 		phaseSW.Stop()
 		if err != nil {
-			return AppRun{}, fmt.Errorf("core: static %s %s: %w", env, app.Name, err)
+			return AppRun{}, fmt.Errorf("core: %v %s %s phase %d: %w", mode, env, app.Name, ph.Index, err)
 		}
-		accumulate(&run, ph.Weight, res)
+		weight := ph.Weight
+		if phase >= 0 {
+			weight = 1
+		}
+		accumulate(&run, weight, res)
 	}
 	return run, nil
 }

@@ -57,7 +57,11 @@ func TestSharedCoreWorkerPath(t *testing.T) {
 // set must be refused by the environment-labeled run paths.
 func TestRunDynamicRejectsNonTableConfig(t *testing.T) {
 	s := newSim(t)
-	core, err := s.BuildCoreWithConfig(s.Chip(3), Figure13Configs()[1].Config) // TS+ABB
+	h, err := s.AcquireChip(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	core, err := s.handleCore(h, Figure13Configs()[1].Config) // TS+ABB
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Package fleet is the shared-clock discrete-event simulation service
-// over the EVAL core: it scales the repo's unit of work — one pure
-// (chip, environment, app, phase) adaptation, memoized in the artifact
+// over the EVAL core: it scales the repo's unit of work — one (chip,
+// environment, mode, app, phase) adaptation, memoized in the artifact
 // store — from batch CLIs to a long-running request stream serving tens
 // of thousands of variation-affected chips.
 //
@@ -48,16 +48,29 @@
 // single-client trace, where both orders reduce to submission order.
 //
 // For a fixed simulator seed and a fixed event trace (one client
-// submitting the same batches in the same order), Result.Canonical() —
-// everything except the execution diagnostics (worker placement,
-// latencies, cache hits, batching counts) — is byte-identical at every
-// worker count, every shard count, and every routing policy. The three
-// load-bearing properties: sequence assignment, the virtual clock, and
-// admission are decided at ingest from the trace alone (serially, for a
-// serial submitter); simulation units are pure functions of (chip seed,
-// environment, mode, app, phase) — worker placement, core-view
-// derivation, and PE-table build order cannot change their values; and
-// per-batch emission is re-serialized by submission order. The
-// determinism tests sweep shard counts {1, 32} × workers {1, 8} × all
-// routing policies and compare canonical JSON byte-for-byte.
+// submitting the same batches in the same order), the ingest-side
+// decisions are functions of the trace alone: sequence assignment, the
+// virtual clock, and admission are decided at ingest (serially, for a
+// serial submitter), and per-batch emission is re-serialized by
+// submission order.
+//
+// A simulation unit's value is not a pure function of its coordinates
+// (chip seed, environment, mode, app, phase). Workers solve on their own
+// views of a chip's core; a view's thermal solver warm-starts from the
+// view's previous solve and its memo maps replay earlier evaluations, so
+// the same unit computed after a different solve history can differ in
+// low-order bits — up to about 0.1% of PE through the adaptation search.
+// (PE-table build order never matters: the tables are exact.) What pins
+// a unit is the artifact store: its first computation writes the apprun
+// artifact, and every later request for the unit replays those bytes.
+//
+// Result.Canonical() — everything except the execution diagnostics
+// (worker placement, latencies, cache hits, batching counts) — is
+// therefore byte-identical at every worker count, shard count, and
+// routing policy once the store holds the trace's units. Without a
+// store, or when a unit is first computed under a different placement,
+// its payload may move in those low-order bits. The determinism tests
+// share one store across a sweep of shard counts {1, 32} × workers
+// {1, 8} × all routing policies and compare canonical JSON
+// byte-for-byte against the sweep's first, cold run.
 package fleet

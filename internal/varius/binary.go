@@ -8,7 +8,7 @@ import (
 )
 
 // chipBinVersion is the chip payload's binary format version,
-// independent of the artifact kind version (decoders sniff the format).
+// independent of the artifact kind version.
 const chipBinVersion = 1
 
 // MarshalBinary serializes the chip maps in the artifact store's
